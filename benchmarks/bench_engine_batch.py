@@ -6,7 +6,9 @@ exactly the rankings of the per-relation ``rank_independent`` loop while
 running measurably faster (one stacked recurrence per size group instead
 of one Python-level pass per relation), and ``Engine.rank_many`` must
 beat ranking the same relation once per ranking function (one shared
-score sort and prefix matrix instead of one per spec).  With the
+score sort instead of one per spec).  The blocked general-weight kernel
+must beat the per-tuple Algorithm 1 oracle of the tests 10x at
+n = 10^6.  With the
 correlation-aware backend layer, the same contract covers and/xor trees
 (cached batches must beat the looped ``rank_tree``) and Markov networks
 (cached batches must beat the looped ``rank_markov_network``); every
@@ -17,8 +19,10 @@ JSON so the artifact tracks cache effectiveness alongside wall time.
 from __future__ import annotations
 
 import os
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from repro import Engine, PRFOmega, PRFe, ProbabilisticRelation, Tuple
 from repro.algorithms.independent import rank_independent
 from repro.andxor.ranking import rank_tree
 from repro.core.columnar import ColumnarRelation
+from repro.core.result import RankingResult
 from repro.core.weights import StepWeight, TabulatedWeight
 from repro.datasets import generate_independent, syn_xor
 from repro.graphical import MarkovChainRelation
@@ -48,6 +53,8 @@ COLUMNAR_N = 20_000 if SMOKE else 1_000_000
 APPROX_SIZES = (5_000, 20_000) if SMOKE else (100_000, 300_000, 1_000_000)
 APPROX_HORIZON = 400 if SMOKE else 2_000
 APPROX_BUDGET = 1e-3
+BLOCKED_N = 200_000 if SMOKE else 1_000_000
+BLOCKED_HORIZON = 100
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -402,5 +409,78 @@ def test_approx_knob_beats_exact_prfomega(benchmark, save_result):
     if not SMOKE:
         assert speedup > 10.0, (
             f"approx knob not 10x over exact PRFomega at n={APPROX_SIZES[-1]}: "
+            f"{speedup:.2f}x"
+        )
+
+
+def _oracle_prf_values():
+    """The per-tuple Algorithm 1 oracle of the test suite (``tests/prf_oracle.py``)."""
+    tests_dir = str(Path(__file__).resolve().parents[1] / "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    from prf_oracle import oracle_prf_values
+
+    return oracle_prf_values
+
+
+def test_prfomega_exact_blocked_kernel(benchmark, save_result):
+    """Exact PRFomega(StepWeight(100)) on a columnar relation: blocked kernel vs oracle.
+
+    ``Engine.rank`` (fresh engine, so the sort, the blocked O(n h)
+    kernel and the result are all timed) against ranking through the
+    per-tuple oracle the tests check the kernel with: one Python step
+    per tuple, then ``RankingResult.from_values`` — the evaluation every
+    general-weight ranking ran before the blocked kernel.  The kernel's
+    order must equal the oracle's up to near-ties, and at n = 10^6 the
+    engine must be at least 10x faster.  The memory column guards the
+    matrix-free property: the (n, h) prefix matrix alone would be
+    ``8 n h`` bytes.
+    """
+    oracle_prf_values = _oracle_prf_values()
+    relation = generate_independent(BLOCKED_N, rng=113, columnar=True)
+    rf = PRFOmega(StepWeight(BLOCKED_HORIZON))
+
+    result, engine_time = _best_of(lambda: Engine().rank(relation, rf), repeats=2)
+    start = time.perf_counter()
+    ordered, oracle_values = oracle_prf_values(relation, rf)
+    oracle_loop_time = time.perf_counter() - start
+    RankingResult.from_values(ordered, oracle_values.tolist())
+    oracle_time = time.perf_counter() - start
+    run_once(benchmark, lambda: Engine().rank(relation, rf))
+
+    by_position = np.empty(BLOCKED_N)
+    by_position[relation.order()] = oracle_values
+    error = float(np.max(np.abs(result.values_array() - by_position[result.original_indices()])))
+    tolerance = 1e-12  # values lie in [0, 1]
+    assert error <= tolerance, f"kernel deviates from the oracle by {error:.2e}"
+    # Identical order up to near-ties: along the kernel's ranking the
+    # oracle magnitudes never increase by more than the tolerance.
+    magnitudes = np.abs(by_position[result.original_indices()])
+    assert np.all(np.diff(magnitudes) <= 2 * tolerance)
+
+    peak_mib = _traced_peak_mib(lambda: Engine().rank(relation, rf))
+    speedup = oracle_time / max(engine_time, 1e-9)
+    benchmark.extra_info["n"] = BLOCKED_N
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["peak_mib"] = round(peak_mib, 2)
+    save_result(
+        "engine_blocked_prfomega",
+        "\n".join(
+            [
+                f"relation            n={BLOCKED_N} columnar, "
+                f"PRFomega(StepWeight({BLOCKED_HORIZON}))",
+                f"oracle loop (s)     {oracle_loop_time:.4f}",
+                f"oracle ranking (s)  {oracle_time:.4f}",
+                f"engine rank (s)     {engine_time:.4f}",
+                f"speedup             {speedup:.2f}x",
+                f"max |error|         {error:.2e}",
+                f"engine peak (MiB)   {peak_mib:.1f}",
+                f"prefix matrix (MiB) {8 * BLOCKED_N * BLOCKED_HORIZON / 2**20:.1f}",
+            ]
+        ),
+    )
+    if not SMOKE:
+        assert speedup >= 10.0, (
+            f"blocked kernel not 10x over the per-tuple oracle at n={BLOCKED_N}: "
             f"{speedup:.2f}x"
         )

@@ -33,6 +33,7 @@ from ..core.result import RankingResult
 from ..core.tuples import ProbabilisticRelation, Tuple
 
 __all__ = [
+    "general_weights",
     "positional_probabilities",
     "prefix_polynomial_matrix",
     "rank_distributions",
@@ -78,27 +79,14 @@ def prefix_polynomial_matrix(probabilities: np.ndarray, limit: int) -> np.ndarra
     (1 - p_l + p_l x)`` (Equation 2) truncated to degree ``limit - 1``, so
     ``matrix[i, m] = Pr(exactly m of the i higher-score tuples are present)``.
     The positional-probability matrix of :func:`positional_probabilities` is
-    ``prefix_polynomial_matrix(p, limit) * p[:, None]``; the general PRF
-    evaluation is a weighted row sum.  This is the shared hot intermediate
-    cached and batched by :mod:`repro.engine`.
+    ``prefix_polynomial_matrix(p, limit) * p[:, None]``.  This is the
+    intermediate cached by :mod:`repro.engine` for positional queries;
+    PRF values never form it (see :func:`prf_values`).
     """
+    from ..engine.kernels import batched_prefix_matrices
+
     probabilities = np.asarray(probabilities, dtype=float)
-    n = probabilities.size
-    matrix = np.zeros((n, limit), dtype=float)
-    if n == 0 or limit == 0:
-        return matrix
-    prefix = np.zeros(limit, dtype=float)
-    prefix[0] = 1.0
-    shifted = np.empty_like(prefix)
-    for i, p in enumerate(probabilities):
-        matrix[i] = prefix
-        # prefix <- prefix * (1 - p + p x), truncated.  When p == 0 the
-        # polynomial is unchanged, so the update can be skipped.
-        if p != 0.0:
-            shifted[0] = 0.0
-            shifted[1:] = prefix[:-1]
-            prefix = (1.0 - p) * prefix + p * shifted
-    return matrix
+    return batched_prefix_matrices(probabilities[None, :], limit)[0]
 
 
 def positional_probabilities(
@@ -203,37 +191,15 @@ def prfe_values(
     return ordered, values
 
 
-def _prf_values_general(
-    relation: ProbabilisticRelation,
-    rf: RankingFunction,
-    horizon: int | None,
-) -> tuple[list[Tuple], np.ndarray]:
-    """Shared implementation of the O(n^2) / O(n h) PRF evaluation."""
-    ordered = relation.sorted_by_score()
-    n = len(ordered)
-    limit = n if horizon is None else min(int(horizon), n)
-    weight_array = rf.weight_array(limit)  # [0, w(1), ..., w(limit)]
-    use_complex = not rf.is_real()
-    dtype = complex if use_complex else float
-    weights = weight_array[1:].astype(dtype)  # w(1) .. w(limit)
-    values = np.zeros(n, dtype=dtype)
-    if n == 0 or limit == 0:
-        return ordered, values
+def general_weights(rf: RankingFunction, n: int) -> np.ndarray:
+    """``[w(1), ..., w(limit)]`` of a general-weight ``rf`` over ``n`` tuples.
 
-    probabilities = np.array([t.probability for t in ordered], dtype=float)
-    prefix = np.zeros(limit, dtype=float)
-    prefix[0] = 1.0
-    for i, t in enumerate(ordered):
-        p = probabilities[i]
-        upto = min(i, limit - 1) + 1
-        # Upsilon(t_i) = g(t_i) * p_i * sum_m w(m + 1) * prefix[m]
-        values[i] = rf.factor(t) * p * np.dot(weights[:upto], prefix[:upto])
-        if p != 0.0:
-            shifted = np.empty_like(prefix)
-            shifted[0] = 0.0
-            shifted[1:] = prefix[:-1]
-            prefix = (1.0 - p) * prefix + p * shifted
-    return ordered, values
+    ``limit = min(h, n)`` for a horizon ``h`` (``n`` when unbounded); the
+    dtype is complex unless the weight is real.
+    """
+    horizon = rf.weight.horizon
+    limit = n if horizon is None else min(int(horizon), n)
+    return rf.weight_array(limit)[1:].astype(float if rf.is_real() else complex)
 
 
 def prf_values(
@@ -270,8 +236,17 @@ def prf_values(
         total = term_values @ rf.coefficients
         return ordered, total, None
 
-    horizon = rf.weight.horizon
-    ordered, values = _prf_values_general(relation, rf, horizon)
+    # General weights: the O(n^2) / O(n h) evaluation of Algorithm 1,
+    # run by the engine's blocked kernel (one kernel for every path).
+    from ..engine.kernels import batched_general_values
+
+    ordered = relation.sorted_by_score()
+    probabilities = np.array([t.probability for t in ordered], dtype=float)
+    factors = None
+    if rf.tuple_factor is not None:
+        factors = np.array([[rf.factor(t) for t in ordered]], dtype=float)
+    weights = general_weights(rf, len(ordered))
+    values = batched_general_values(probabilities[None, :], weights, factors)[0]
     return ordered, values, None
 
 

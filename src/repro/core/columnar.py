@@ -25,8 +25,8 @@ Design notes
   score/probability columns are cached alongside it.
 * **Tuple compatibility.**  Iteration, indexing and
   :meth:`sorted_by_score` still yield real :class:`Tuple` objects, built
-  lazily, so legacy code paths (general-weight streaming, correlated
-  models, CSV export) keep working unchanged — they just pay the
+  lazily, so code paths that need tuple objects (``tuple_factor`` specs,
+  correlated models, CSV export) keep working unchanged — they just pay the
   materialization cost that the hot paths avoid.
 
 Arrays handed to the constructor are adopted without copying whenever
@@ -199,8 +199,8 @@ class ColumnarRelation:
     def sorted_by_score(self) -> list[Tuple]:
         """Materialized :class:`Tuple` list in the canonical order.
 
-        Compatibility path for consumers that need tuple objects (the
-        general-weight streaming evaluator, exports); the hot kernels
+        Compatibility path for consumers that need tuple objects
+        (``tuple_factor`` specs, exports); the hot kernels
         use :meth:`sorted_probabilities` / :meth:`sorted_scores` instead.
         """
         if self._sorted_cache is None:

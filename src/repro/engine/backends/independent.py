@@ -1,18 +1,25 @@
-"""The tuple-independent backend — PR 1's batched vectorized kernels.
+"""The tuple-independent backend — batched vectorized kernels.
 
 Evaluation strategy per ranking-function spec (Table 3 of the paper):
 
 * PRFe(alpha) — the O(n) closed form after sorting; real alphas run in
   log space so huge relations neither under- nor overflow.
 * LinearCombinationPRFe — one stacked cumulative-product pass per term.
-* General weights — the prefix generating-function matrix (Algorithm 1's
-  hot intermediate), LRU-cached per relation and shared across batches,
-  sweeps and the positional-probability queries of the baselines.
+* General weights — the blocked O(n h) prefix kernel of
+  :func:`~repro.engine.kernels.batched_general_values`, matrix-free, on
+  the cached sorted probabilities (a columnar relation's sorted column
+  feeds it directly; tuples are built only for a ``tuple_factor``).
 
 Batches of equal-size relations are stacked and pushed through the
-kernels of :mod:`repro.engine.kernels` in single vectorized passes; all
-results are bit-identical to :func:`repro.algorithms.independent.
-rank_independent`.
+kernels of :mod:`repro.engine.kernels` in single vectorized passes.  Each
+row's arithmetic is independent of the stack, so ``rank``,
+``rank_batch``, ``rank_many``, the columnar twin and the ranking service
+return bit-identical values.  Every spec is also bit-identical to
+:func:`repro.algorithms.independent.rank_independent`, which runs the
+same kernels.  General-weight values are not those of the per-tuple
+recurrence of Algorithm 1 bit for bit: they agree with it to within
+``1e-12`` of the value scale ``max|g| max|w|`` and rank identically
+except at near-ties.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from ...algorithms.independent import (
+    general_weights,
     positional_probabilities,
-    prf_values,
     uses_log_space,
 )
 from ...core.columnar import ColumnarRelation
@@ -34,9 +41,9 @@ from ..cache import CachedRelation
 from ..kernels import (
     batched_general_values,
     batched_lincomb_values,
-    batched_prefix_matrices,
     batched_prfe_log_values,
     batched_prfe_values,
+    general_row_elements,
 )
 from ..topk import (
     TopKReport,
@@ -67,7 +74,7 @@ class IndependentBackend(RankingBackend):
         if isinstance(rf, LinearCombinationPRFe):
             return "independent-prfe-combination (O(n L))"
         if rf.weight.horizon is not None:
-            return "independent-prefix-matrix (O(n h))"
+            return "independent-blocked-prefix (O(n h))"
         return "independent-general (O(n^2))"
 
     # ------------------------------------------------------------------
@@ -78,32 +85,12 @@ class IndependentBackend(RankingBackend):
     ) -> RankingResult:
         """Rank one relation — the drop-in replacement for ``rank_independent``.
 
-        PRFe and LinearCombinationPRFe specs run their O(n) closed forms
-        against the cached entry (so repeated rankings reuse the sorted
-        order and probability array); general-weight specs reuse the
-        cached prefix matrix.  Both reproduce the legacy rankings (the
-        real-alpha PRFe path bit for bit).
+        The single-spec case of :meth:`rank_many`: the same kernels run
+        against the cached entry (sorted order and probability array), so
+        a request served alone is bit-identical to one served coalesced
+        (the guarantee the ranking service builds on).
         """
-        label = name or relation.name
-        if isinstance(rf, (PRFe, LinearCombinationPRFe)):
-            # The single-spec case of rank_many: same kernels, shared entry.
-            return self.rank_many(relation, [rf], name=label)[0]
-        n = len(relation)
-        limit = self._general_limit(n, rf)
-        # Same materialization condition as rank_batch: matrices beyond the
-        # element budget stream through the legacy evaluation (both paths),
-        # everything else runs the stacked kernel as a batch of one — so a
-        # request served alone is bit-identical to one served coalesced
-        # (the guarantee the ranking service builds on).
-        if n * limit > self._engine.max_batch_elements:
-            ordered, values, sort_keys = prf_values(relation, rf)
-            return RankingResult.from_values(
-                ordered, values.tolist(), name=label, sort_keys=sort_keys
-            )
-        entry = self.entry(relation)
-        values, _ = self._evaluate_stack([entry], n, rf)
-        self.cache.enforce_budget()
-        return build_result(entry, values[0], label)
+        return self.rank_many(relation, [rf], name=name or relation.name)[0]
 
     # ------------------------------------------------------------------
     # Top-k with early termination
@@ -174,19 +161,9 @@ class IndependentBackend(RankingBackend):
         for index, relation in enumerate(relations):
             groups.setdefault(len(relation), []).append(index)
         for n, indices in groups.items():
-            if not isinstance(rf, (PRFe, LinearCombinationPRFe)):
-                limit = self._general_limit(n, rf)
-                if n * limit > self._engine.max_batch_elements:
-                    # Even a single stacked row would blow the kernel budget;
-                    # stream these relations through the legacy evaluation.
-                    for index in indices:
-                        results[index] = self.rank(relations[index], rf)
-                    continue
             entries = [self.entry(relations[i], store=store) for i in indices]
             for chunk_indices, chunk_entries in self._chunk(indices, entries, n, rf):
-                values, sort_keys = self._evaluate_stack(
-                    chunk_entries, n, rf, cache_rows=store
-                )
+                values, sort_keys = self._evaluate_stack(chunk_entries, n, rf)
                 for row, index in enumerate(chunk_indices):
                     entry = chunk_entries[row]
                     keys = sort_keys[row] if sort_keys is not None else None
@@ -197,13 +174,17 @@ class IndependentBackend(RankingBackend):
         return [result for result in results if result is not None]
 
     def _chunk(self, indices, entries, n: int, rf: RankingFunction):
-        """Split one equal-size group into memory-bounded kernel chunks."""
+        """Split one equal-size group into memory-bounded kernel chunks.
+
+        The budget bounds the stack height only: chunking never changes
+        a row's arithmetic.
+        """
         if isinstance(rf, PRFe):
             per_relation = max(n, 1)
         elif isinstance(rf, LinearCombinationPRFe):
             per_relation = max(n * len(rf), 1)
         else:
-            per_relation = max(n * self._general_limit(n, rf), 1)
+            per_relation = general_row_elements(n, self._general_limit(n, rf))
         rows = max(1, self._engine.max_batch_elements // per_relation)
         for start in range(0, len(indices), rows):
             yield indices[start : start + rows], entries[start : start + rows]
@@ -213,7 +194,6 @@ class IndependentBackend(RankingBackend):
         entries: Sequence[CachedRelation],
         n: int,
         rf: RankingFunction,
-        cache_rows: bool = True,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Values (and optional sort keys) for a stack of equal-size entries."""
         P = np.stack([entry.probabilities for entry in entries]) if n else np.zeros(
@@ -229,58 +209,24 @@ class IndependentBackend(RankingBackend):
             return batched_prfe_values(P, alpha), None
         if isinstance(rf, LinearCombinationPRFe):
             return batched_lincomb_values(P, rf.coefficients, rf.alphas), None
-        limit = self._general_limit(n, rf)
-        prefix = self._stacked_prefixes(entries, P, limit, cache_rows=cache_rows)
-        dtype = float if rf.is_real() else complex
-        weights = rf.weight_array(limit)[1:].astype(dtype)
-        factors = None
+        weights = general_weights(rf, n)
         if rf.tuple_factor is not None:
             factors = np.array(
                 [[rf.factor(t) for t in entry.ordered] for entry in entries], dtype=float
             )
-        return batched_general_values(P, prefix, weights, factors), None
-
-    def _stacked_prefixes(
-        self,
-        entries: Sequence[CachedRelation],
-        P: np.ndarray,
-        limit: int,
-        cache_rows: bool = True,
-    ) -> np.ndarray:
-        """The ``(B, n, limit)`` prefix stack, reusing cached per-relation matrices.
-
-        Rows whose entries already carry a wide-enough matrix are sliced
-        in; only the missing rows run the batched recurrence.  With
-        ``cache_rows`` the computed rows are copied back into their
-        entries (the batched and single-relation recurrences are bitwise
-        identical, so cache contents stay canonical); transient entries of
-        an oversized batch skip the copies.
-        """
-        snapshots = [entry.prefix for entry in entries]
-        missing = [
-            row
-            for row, prefix in enumerate(snapshots)
-            if prefix is None or prefix.shape[1] < limit
-        ]
-        if not missing:
-            return np.stack([prefix[:, :limit] for prefix in snapshots])
-        if len(missing) == len(entries):
-            prefix = batched_prefix_matrices(P, limit)
-            if cache_rows:
-                for row, entry in enumerate(entries):
-                    # Copy: a view would pin the whole (B, n, limit) stack alive.
-                    entry.store_prefix(prefix[row].copy())
-            return prefix
-        stack = np.empty((len(entries), P.shape[1], limit), dtype=float)
-        for row, prefix in enumerate(snapshots):
-            if prefix is not None and prefix.shape[1] >= limit:
-                stack[row] = prefix[:, :limit]
-        computed = batched_prefix_matrices(P[missing], limit)
-        for position, row in enumerate(missing):
-            stack[row] = computed[position]
-            if cache_rows:
-                entries[row].store_prefix(computed[position].copy())
-        return stack
+            return batched_general_values(P, weights, factors), None
+        # Without a tuple factor the values depend on the entry and the
+        # tabulated weights alone, so they are memoized on the entry (n
+        # elements, where the prefix matrix was n * limit): warm rankings
+        # skip the kernel, and only the missing rows are stacked.
+        key = ("general", weights.dtype.str, weights.tobytes())
+        rows = [entry.extras.get(key) for entry in entries]
+        missing = [row for row, values in enumerate(rows) if values is None]
+        if missing:
+            computed = batched_general_values(P[missing], weights)
+            for position, row in enumerate(missing):
+                rows[row] = entries[row].extras[key] = np.array(computed[position])
+        return np.stack(rows), None
 
     # ------------------------------------------------------------------
     # One relation, many ranking functions
@@ -295,8 +241,8 @@ class IndependentBackend(RankingBackend):
 
         The relation is sorted once; real-``alpha`` PRFe specs are swept in
         a single stacked log-space evaluation (this is the Figure 7 alpha
-        sweep), and all general-weight specs share one prefix matrix wide
-        enough for the largest horizon among them.
+        sweep), and every other spec runs its kernel on the shared cached
+        entry, with the same per-spec arithmetic as :meth:`rank`.
         """
         rfs = list(rfs)
         if not rfs:
@@ -306,35 +252,17 @@ class IndependentBackend(RankingBackend):
         results: list[RankingResult | None] = [None] * len(rfs)
 
         sweep = [i for i, rf in enumerate(rfs) if uses_log_space(rf)]
-        general = [
-            i
-            for i, rf in enumerate(rfs)
-            if not isinstance(rfs[i], (PRFe, LinearCombinationPRFe))
-        ]
-        other = [i for i in range(len(rfs)) if i not in set(sweep) | set(general)]
-
         if sweep:
             for index, values, log_values in self._prfe_alpha_sweep(
                 entry, [(i, rfs[i].alpha) for i in sweep]
             ):
                 results[index] = build_result(entry, values, label, sort_keys=log_values)
-        if other:
-            # Complex-alpha PRFe and LinearCombinationPRFe specs: already
-            # O(n) closed forms, evaluated from the shared cache entry so no
-            # per-spec re-sort or probability-array rebuild happens.
-            P = entry.probabilities[None, :]
-            for index in other:
-                rf = rfs[index]
-                if isinstance(rf, PRFe):
-                    values = batched_prfe_values(P, rf.alpha)[0]
-                else:
-                    values = batched_lincomb_values(P, rf.coefficients, rf.alphas)[0]
-                results[index] = build_result(entry, values, label)
-        if general:
-            for index, values in self._general_many(
-                entry, relation, [(i, rfs[i]) for i in general]
-            ):
-                results[index] = build_result(entry, values, label)
+        for index, rf in enumerate(rfs):
+            if results[index] is None:
+                # Every other spec runs the rank_batch kernel as a stack of
+                # one row, so its arithmetic is the batched one exactly.
+                values, _ = self._evaluate_stack([entry], entry.n, rf)
+                results[index] = build_result(entry, values[0], label)
         self.cache.enforce_budget()
         return [result for result in results if result is not None]
 
@@ -352,33 +280,6 @@ class IndependentBackend(RankingBackend):
             values = np.exp(log_values)
         for row, (index, _) in enumerate(specs):
             yield index, values[row], log_values[row]
-
-    def _general_many(self, entry: CachedRelation, relation: ProbabilisticRelation, specs):
-        """General-weight specs sharing one cached prefix matrix."""
-        n = entry.n
-        limits = {index: self._general_limit(n, rf) for index, rf in specs}
-        widest = max(limits.values(), default=0)
-        if n * widest > self._engine.max_batch_elements:
-            # Too wide to materialize: stream each spec independently.
-            for index, rf in specs:
-                _, values, _ = prf_values(relation, rf)
-                yield index, values
-            return
-        prefix = entry.prefix_matrix(widest) if widest else np.zeros((n, 0))
-        p = entry.probabilities
-        for index, rf in specs:
-            limit = limits[index]
-            dtype = float if rf.is_real() else complex
-            if n == 0 or limit == 0:
-                yield index, np.zeros(n, dtype=dtype)
-                continue
-            weights = rf.weight_array(limit)[1:].astype(dtype)
-            values = (prefix[:, :limit] @ weights) * p
-            if rf.tuple_factor is not None:
-                values = values * np.array(
-                    [rf.factor(t) for t in entry.ordered], dtype=float
-                )
-            yield index, values
 
     # ------------------------------------------------------------------
     # Derived queries

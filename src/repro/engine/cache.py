@@ -7,10 +7,11 @@ identity, and a dataset rebuilt from the same data still hits.  One
 entry type exists per correlation model:
 
 * :class:`CachedRelation` (tuple-independent): the canonical
-  score-descending tuple order and the prefix generating-function matrix
+  score-descending tuple order, the prefix generating-function matrix
   of :func:`repro.algorithms.independent.prefix_polynomial_matrix` (the
-  O(n * max_rank) hot intermediate behind positional probabilities,
-  PT(h), U-Rank and every general-weight PRF evaluation).
+  O(n * max_rank) intermediate behind positional probabilities, PT(h)
+  and U-Rank features) and memoized general-weight value vectors in
+  ``extras`` (values never need the matrix).
 * :class:`CachedTree` (and/xor correlations): the sorted leaf order, the
   positional-probability matrix obtained from the tree's generating
   functions, and memoized PRFe value vectors of the incremental
@@ -324,12 +325,6 @@ class CachedRelation:
                 self.prefix = prefix
         return prefix[:, :limit]
 
-    def store_prefix(self, matrix: np.ndarray) -> None:
-        """Adopt an externally computed prefix matrix if wider than the cached one."""
-        with self.lock:
-            if self.prefix is None or self.prefix.shape[1] < matrix.shape[1]:
-                self.prefix = matrix
-
     def positional_matrix(self, limit: int) -> np.ndarray:
         """``Pr(r(t_i) = j)`` for ``j = 1 .. limit`` from the cached prefix."""
         prefix = self.prefix_matrix(limit)
@@ -346,8 +341,8 @@ class CachedColumnar:
     the probability vector is a gather of the relation's own column by
     its cached sort permutation, the sort columns (scores + tid strings)
     are served from arrays, and tuple objects materialize only if a
-    legacy consumer (general-weight streaming, ``tuple_factor``) asks
-    for :attr:`ordered`.
+    consumer that needs them (a ``tuple_factor``, positional queries)
+    asks for :attr:`ordered`.
     """
 
     relation: ColumnarRelation = field(repr=False, default=None)
@@ -430,12 +425,6 @@ class CachedColumnar:
                 prefix = prefix_polynomial_matrix(self.probabilities, limit)
                 self.prefix = prefix
         return prefix[:, :limit]
-
-    def store_prefix(self, matrix: np.ndarray) -> None:
-        """Adopt an externally computed prefix matrix if wider than the cached one."""
-        with self.lock:
-            if self.prefix is None or self.prefix.shape[1] < matrix.shape[1]:
-                self.prefix = matrix
 
     def positional_matrix(self, limit: int) -> np.ndarray:
         """``Pr(r(t_i) = j)`` for ``j = 1 .. limit`` from the cached prefix."""

@@ -104,10 +104,10 @@ class Engine:
     cache_elements:
         Element budget of the intermediate cache (float64 entries).
     max_batch_elements:
-        Ceiling on the size of any single stacked ``(B, n, limit)``
-        kernel allocation; batches are chunked to respect it and
-        over-budget single relations fall back to the streaming
-        single-relation algorithms.
+        Ceiling on the working set of one stacked kernel call; batches
+        are chunked to respect it, so it bounds the stack height (never
+        a row's arithmetic).  Positional matrices wider than it are
+        computed uncached; general-weight values never form a matrix.
     workers:
         Default process-pool size for :meth:`rank_batch`.  ``None`` or
         ``1`` keeps everything in-process; sharding only engages for the
@@ -519,8 +519,8 @@ class Engine:
         """Rank one dataset under many ranking functions, sharing intermediates.
 
         Independent relations sweep real-``alpha`` PRFe specs in a single
-        stacked log-space kernel and share one prefix matrix across the
-        general-weight specs; trees share the memoized Algorithm 3 values
+        stacked log-space kernel and run every other spec on the shared
+        sorted entry; trees share the memoized Algorithm 3 values
         and positional matrix; networks share the calibrated junction
         tree and DP matrix.
 

@@ -48,8 +48,8 @@ def _general_prf(data, k: int):
 
 #: Algorithms timed by the scaling experiment, keyed by Table 3 row label.
 #: Rankings route through the shared engine, which is the production path;
-#: the engine falls back to the streaming evaluation for the unbounded
-#: general PRF so its O(n^2) scaling is measured, not an O(n^2) allocation.
+#: the general-weight kernel is matrix-free, so the unbounded general PRF
+#: measures its O(n^2) scaling, not an O(n^2) allocation.
 ALGORITHMS: dict[str, ScalingCase] = {
     "PRFe (O(n log n))": ScalingCase(
         lambda data, k: shared_engine().rank(data, PRFe(0.95)).top_k(k)

@@ -237,18 +237,11 @@ class TestMixedModelBatches:
         results = Engine().rank_batch(mixed, rf)
         assert len(results) == len(mixed)
         for data, result in zip(mixed, results):
-            reference = self.reference(data, rf)
-            context = type(data).__name__
-            if isinstance(data, ProbabilisticRelation) and not isinstance(rf, PRFe):
-                # The stacked general-weight kernel truncates per-row dot
-                # products differently from the streaming legacy loop (PR 1's
-                # documented contract): identical rankings, values to 1e-9.
-                assert result.tids() == reference.tids(), context
-                values = np.asarray([item.value for item in result], dtype=complex)
-                expected = np.asarray([item.value for item in reference], dtype=complex)
-                assert np.allclose(values, expected, rtol=1e-9, atol=1e-12), context
-            else:
-                assert_bitwise_equal(result, reference, context=context)
+            # rank_independent runs the engine's kernels, so general
+            # weights match it bit for bit too.
+            assert_bitwise_equal(
+                result, self.reference(data, rf), context=type(data).__name__
+            )
 
     def test_mixed_batch_preserves_input_order(self):
         rng = np.random.default_rng(311)
